@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <iterator>
 
 #include "support/logging.hpp"
 #include "support/rng.hpp"
@@ -36,7 +38,7 @@ DebugEvent make_gone_event(int pid, bool clean_exit) {
 std::unique_ptr<Client> Client::discover(std::string port_file_path) {
   auto client = std::unique_ptr<Client>(new Client());
   client->mode_ = Mode::kDiscover;
-  client->multi_ = std::make_unique<MultiClient>(std::move(port_file_path));
+  client->port_file_.emplace(std::move(port_file_path));
   return client;
 }
 
@@ -66,13 +68,38 @@ Status Client::hub_handshake(std::uint16_t port, int timeout_millis) {
 Result<int> Client::refresh(int timeout_millis) {
   switch (mode_) {
     case Mode::kDiscover:
-      return multi_->refresh(timeout_millis);
+      return discover_refresh();
     case Mode::kHub:
       return hub_refresh(timeout_millis);
     case Mode::kSingle:
       return 0;  // one endpoint, nothing new can appear
   }
   return 0;
+}
+
+Result<int> Client::discover_refresh() {
+  DIONEA_ASSIGN_OR_RETURN(std::vector<ipc::PortRecord> records,
+                          port_file_->read_new(records_seen_));
+  int adopted = 0;
+  for (const ipc::PortRecord& record : records) {
+    ++records_seen_;
+    // Re-published port (double fork re-binds): replace the session.
+    direct_.erase(record.pid);
+    // One connect, no retry: the server listened before it published,
+    // so a refused connection means the process has exited.
+    auto session = Session::attach(record.port, /*timeout_millis=*/0);
+    if (!session.is_ok()) {
+      DLOG_DEBUG("client") << "could not attach pid " << record.pid << ": "
+                           << session.error().to_string();
+      continue;
+    }
+    direct_[record.pid] = std::move(session).value();
+    reported_dead_.erase(record.pid);
+    crash_reports_.erase(record.pid);
+    unclaimed_.push_back(record.pid);
+    ++adopted;
+  }
+  return adopted;
 }
 
 Result<int> Client::hub_refresh(int) {
@@ -91,11 +118,23 @@ Result<int> Client::hub_refresh(int) {
   return fresh;
 }
 
+Status Client::await_change(double deadline, const std::string& what) {
+  double left_millis = (deadline - mono_seconds()) * 1000.0;
+  if (left_millis < 0) return Status(ErrorCode::kTimeout, what);
+  if (mode_ == Mode::kDiscover) {
+    port_file_->wait_change(static_cast<int>(std::ceil(left_millis)));
+  } else {
+    // Hub registrations are polled: a push would change the protocol.
+    sleep_for_millis(10);  // sleep-ok: hub-mode attach polls hub-sessions
+  }
+  return Status::ok();
+}
+
 std::vector<SessionHandle> Client::sessions() const {
   std::vector<SessionHandle> out;
   switch (mode_) {
     case Mode::kDiscover:
-      for (int pid : multi_->pids()) out.push_back({pid});
+      for (const auto& [pid, unused] : direct_) out.push_back({pid});
       break;
     case Mode::kHub:
       for (const auto& [id, entry] : known_) {
@@ -114,8 +153,7 @@ size_t Client::session_count() const { return sessions().size(); }
 SessionHandle Client::handle_for_pid(int pid) const {
   switch (mode_) {
     case Mode::kDiscover:
-      return multi_->session(pid) != nullptr ? SessionHandle{pid}
-                                             : SessionHandle{};
+      return direct_.count(pid) > 0 ? SessionHandle{pid} : SessionHandle{};
     case Mode::kHub: {
       // Newest matching registration wins: after a double fork the
       // same pid re-registers under a fresh (higher) session id.
@@ -145,39 +183,32 @@ int Client::pid_of(SessionHandle handle) const {
   return 0;
 }
 
+bool Client::live(std::int64_t id) const {
+  if (mode_ == Mode::kDiscover) return direct_.count(id) > 0;
+  auto it = known_.find(id);
+  return it != known_.end() && it->second.alive;
+}
+
 Result<SessionHandle> Client::attach(int pid, int timeout_millis) {
-  if (mode_ == Mode::kDiscover) {
-    DIONEA_RETURN_IF_ERROR(
-        multi_->await_process(pid, timeout_millis).status());
-    return SessionHandle{pid};
-  }
   if (mode_ == Mode::kSingle) {
     if (link_ != nullptr && link_->pid() == pid) return SessionHandle{pid};
     return Error(ErrorCode::kNotFound,
                  "single-session endpoint is not pid " + std::to_string(pid));
   }
-  Stopwatch watch;
+  const double deadline = mono_seconds() + timeout_millis / 1000.0;
   while (true) {
-    DIONEA_RETURN_IF_ERROR(hub_refresh(timeout_millis).status());
+    DIONEA_RETURN_IF_ERROR(refresh(timeout_millis).status());
     SessionHandle handle = handle_for_pid(pid);
     if (handle.valid()) {
       claim(handle);
       return handle;
     }
-    if (watch.elapsed_seconds() * 1000.0 > timeout_millis) {
-      return Error(ErrorCode::kTimeout,
-                   "no hub session for pid " + std::to_string(pid));
-    }
-    sleep_for_millis(10);
+    DIONEA_RETURN_IF_ERROR(
+        await_change(deadline, "no session for pid " + std::to_string(pid)));
   }
 }
 
 Result<SessionHandle> Client::attach_any(int timeout_millis) {
-  if (mode_ == Mode::kDiscover) {
-    DIONEA_ASSIGN_OR_RETURN(Session * session,
-                            multi_->await_new_process(timeout_millis));
-    return SessionHandle{session->pid()};
-  }
   if (mode_ == Mode::kSingle) {
     if (link_ == nullptr) return Error(ErrorCode::kClosed, "no endpoint");
     SessionHandle handle{link_->pid()};
@@ -187,45 +218,36 @@ Result<SessionHandle> Client::attach_any(int timeout_millis) {
     claimed_.insert(handle.id);
     return handle;
   }
-  Stopwatch watch;
+  const double deadline = mono_seconds() + timeout_millis / 1000.0;
   while (true) {
+    // Hand out sessions adopted by earlier refreshes first: one refresh
+    // may adopt several children at once.
     while (!unclaimed_.empty()) {
       std::int64_t id = unclaimed_.front();
       unclaimed_.pop_front();
-      auto it = known_.find(id);
-      if (it == known_.end() || !it->second.alive) continue;
+      if (!live(id)) continue;
       claimed_.insert(id);
       return SessionHandle{id};
     }
-    DIONEA_RETURN_IF_ERROR(hub_refresh(timeout_millis).status());
+    DIONEA_RETURN_IF_ERROR(refresh(timeout_millis).status());
     if (unclaimed_.empty()) {
-      if (watch.elapsed_seconds() * 1000.0 > timeout_millis) {
-        return Error(ErrorCode::kTimeout, "no new session appeared");
-      }
-      sleep_for_millis(10);
+      DIONEA_RETURN_IF_ERROR(await_change(deadline, "no new session appeared"));
     }
   }
 }
 
 void Client::claim(SessionHandle handle) {
-  switch (mode_) {
-    case Mode::kDiscover:
-      multi_->claim(static_cast<int>(handle.id));
-      break;
-    case Mode::kHub:
-    case Mode::kSingle:
-      claimed_.insert(handle.id);
-      unclaimed_.erase(
-          std::remove(unclaimed_.begin(), unclaimed_.end(), handle.id),
-          unclaimed_.end());
-      break;
-  }
+  claimed_.insert(handle.id);
+  unclaimed_.erase(std::remove(unclaimed_.begin(), unclaimed_.end(), handle.id),
+                   unclaimed_.end());
 }
 
 Session* Client::session(SessionHandle handle) {
   switch (mode_) {
-    case Mode::kDiscover:
-      return multi_->session(static_cast<int>(handle.id));
+    case Mode::kDiscover: {
+      auto it = direct_.find(handle.id);
+      return it == direct_.end() ? nullptr : it->second.get();
+    }
     case Mode::kHub:
       return known_.count(handle.id) > 0 ? routed(handle.id) : nullptr;
     case Mode::kSingle:
@@ -241,35 +263,30 @@ Session* Client::routed(std::int64_t session_id) {
 }
 
 void Client::drop(SessionHandle handle) {
-  switch (mode_) {
-    case Mode::kDiscover:
-      multi_->drop(static_cast<int>(handle.id));
-      break;
-    case Mode::kHub:
-      known_.erase(handle.id);
-      claimed_.erase(handle.id);
-      reported_dead_.erase(handle.id);
-      unclaimed_.erase(
-          std::remove(unclaimed_.begin(), unclaimed_.end(), handle.id),
-          unclaimed_.end());
-      break;
-    case Mode::kSingle:
-      if (link_ != nullptr && link_->pid() == handle.id) link_->hard_close();
-      break;
+  if (mode_ == Mode::kSingle) {
+    if (link_ != nullptr && link_->pid() == handle.id) link_->hard_close();
+  } else {
+    direct_.erase(handle.id);
+    known_.erase(handle.id);
+    claimed_.erase(handle.id);
+    reported_dead_.erase(handle.id);
+    unclaimed_.erase(
+        std::remove(unclaimed_.begin(), unclaimed_.end(), handle.id),
+        unclaimed_.end());
   }
   if (active_.session == handle) active_ = View{};
 }
 
 Result<Session*> Client::reconnect(SessionHandle handle,
                                    const ReconnectPolicy& policy) {
-  if (mode_ == Mode::kDiscover) {
-    return multi_->reconnect(static_cast<int>(handle.id), policy);
-  }
-  // Hub / single: re-dial the one endpoint with the same token and
-  // capped exponential backoff. Handles are server-side state (hub
-  // session ids / the debuggee pid), so they survive untouched.
+  // Breakpoints belong to the user, not the connection: carry them
+  // over from the dead session (if any survives to consult).
   std::vector<BreakpointSpec> carry;
-  if (link_ != nullptr) carry = link_->breakpoints_set();
+  if (mode_ == Mode::kDiscover) {
+    if (Session* old = session(handle)) carry = old->breakpoints_set();
+  } else if (link_ != nullptr) {
+    carry = link_->breakpoints_set();
+  }
   Rng rng(policy.seed ^ static_cast<std::uint64_t>(handle.id));
   double delay = static_cast<double>(policy.initial_delay_millis);
   Error last(ErrorCode::kUnavailable, "no reconnect attempt made");
@@ -278,87 +295,118 @@ Result<Session*> Client::reconnect(SessionHandle handle,
     if (attempt > 0) {
       double factor =
           1.0 - policy.jitter + 2.0 * policy.jitter * rng.next_double();
-      sleep_for_millis(static_cast<int>(delay * factor));
+      int pause = static_cast<int>(delay * factor);
+      sleep_for_millis(pause);  // sleep-ok: reconnect backoff
       delay = std::min(delay * policy.multiplier,
                        static_cast<double>(policy.max_delay_millis));
     }
-    auto attached = Session::attach(endpoint_port_, /*timeout_millis=*/500,
-                                    token_);
-    if (!attached.is_ok()) {
-      last = attached.error();
-      continue;
-    }
-    link_ = std::move(attached).value();
-    if (mode_ == Mode::kHub) {
-      if (Status sub = hub_attach_all(); !sub.is_ok()) {
-        DLOG_DEBUG("client") << "reconnect: hub re-subscribe failed: "
-                             << sub.to_string();
+    Result<Session*> revived = mode_ == Mode::kDiscover
+                                   ? redial_direct(static_cast<int>(handle.id))
+                                   : redial_link(handle);
+    if (!revived.is_ok()) {
+      last = revived.error();
+      // A hub that forgot the session will not remember it next time.
+      if (mode_ == Mode::kHub && last.code() == ErrorCode::kNotFound) {
+        return last;
       }
-      (void)hub_refresh(500);
-      reported_dead_.erase(handle.id);
-      if (known_.count(handle.id) == 0) {
-        return Error(ErrorCode::kNotFound,
-                     "session " + std::to_string(handle.id) +
-                         " no longer known to the hub");
-      }
-    } else {
-      reported_dead_.clear();
-    }
-    Session* raw = session(handle);
-    if (raw == nullptr) {
-      last = Error(ErrorCode::kNotFound, "handle vanished across reconnect");
       continue;
     }
     for (const BreakpointSpec& bp : carry) {
-      auto re_set = raw->set_breakpoint(bp.file, bp.line, bp.tid, bp.ignore);
+      // Best effort — the restarted debuggee may not know the file
+      // (yet); a failed re-apply must not fail the reconnect.
+      auto re_set =
+          revived.value()->set_breakpoint(bp.file, bp.line, bp.tid, bp.ignore);
       if (!re_set.is_ok()) {
-        DLOG_DEBUG("client") << "reconnect: breakpoint " << bp.file << ":"
-                             << bp.line << " not re-applied: "
+        DLOG_DEBUG("client") << "reconnect " << handle.id << ": breakpoint "
+                             << bp.file << ":" << bp.line
+                             << " not re-applied: "
                              << re_set.error().to_string();
       }
     }
-    return raw;
+    return revived;
   }
-  return Error(last.code(),
-               "reconnect failed after " + std::to_string(policy.max_attempts) +
-                   " attempts: " + last.message());
+  return Error(last.code(), "reconnect to " + std::to_string(handle.id) +
+                                " failed after " +
+                                std::to_string(policy.max_attempts) +
+                                " attempts: " + last.message());
+}
+
+Result<Session*> Client::redial_direct(int pid) {
+  // Re-tail the whole port file: the restarted server re-published,
+  // and its newest record for this pid is the live one.
+  DIONEA_ASSIGN_OR_RETURN(std::vector<ipc::PortRecord> records,
+                          port_file_->read_all());
+  const ipc::PortRecord* newest = nullptr;
+  for (const ipc::PortRecord& record : records) {
+    if (record.pid == pid) newest = &record;
+  }
+  if (newest == nullptr) {
+    return Error(ErrorCode::kNotFound,
+                 "no port record for pid " + std::to_string(pid));
+  }
+  DIONEA_ASSIGN_OR_RETURN(
+      std::unique_ptr<Session> session,
+      Session::attach(newest->port, /*timeout_millis=*/500));
+  Session* raw = session.get();
+  direct_[pid] = std::move(session);
+  // The re-published record is now adopted; don't let the next
+  // refresh() re-attach it and clobber this session.
+  records_seen_ = records.size();
+  reported_dead_.erase(pid);
+  crash_reports_.erase(pid);  // the corpse belonged to the predecessor
+  return raw;
+}
+
+Result<Session*> Client::redial_link(SessionHandle handle) {
+  // Re-dial the one endpoint with the same token. Handles are
+  // server-side state (hub session ids / the debuggee pid), so they
+  // survive untouched.
+  DIONEA_ASSIGN_OR_RETURN(
+      link_, Session::attach(endpoint_port_, /*timeout_millis=*/500, token_));
+  if (mode_ == Mode::kHub) {
+    if (Status sub = hub_attach_all(); !sub.is_ok()) {
+      DLOG_DEBUG("client") << "reconnect: hub re-subscribe failed: "
+                           << sub.to_string();
+    }
+    (void)hub_refresh(500);
+    reported_dead_.erase(handle.id);
+    if (known_.count(handle.id) == 0) {
+      return Error(ErrorCode::kNotFound,
+                   "session " + std::to_string(handle.id) +
+                       " no longer known to the hub");
+    }
+  } else {
+    reported_dead_.clear();
+  }
+  Session* raw = session(handle);
+  if (raw == nullptr) {
+    return Error(ErrorCode::kNotFound, "handle vanished across reconnect");
+  }
+  return raw;
 }
 
 void Client::note_child_exit(int pid, int exit_code, int term_signal) {
-  if (mode_ == Mode::kDiscover) {
-    multi_->note_child_exit(pid, exit_code, term_signal);
-    return;
-  }
   if (mode_ == Mode::kHub) return;  // the hub synthesizes these itself
-  SessionHandle handle{pid};
-  if (reported_dead_.count(handle.id) > 0) return;
-  reported_dead_.insert(handle.id);
+  if (!reported_dead_.insert(pid).second) return;
   DebugEvent event = make_gone_event(pid, term_signal == 0);
   if (exit_code >= 0) event.payload.set("exit_code", exit_code);
   if (term_signal != 0) event.payload.set("signal", term_signal);
-  pending_events_.push_back({handle, std::move(event)});
+  pending_events_.push_back({SessionHandle{pid}, std::move(event)});
 }
 
 std::string Client::crash_report_path(SessionHandle handle) const {
-  if (mode_ == Mode::kDiscover) {
-    return multi_->crash_report_path(static_cast<int>(handle.id));
-  }
   auto it = crash_reports_.find(handle.id);
   return it == crash_reports_.end() ? std::string() : it->second;
 }
 
 Status Client::activate(SessionHandle handle, std::int64_t tid) {
-  if (mode_ == Mode::kDiscover) {
-    DIONEA_RETURN_IF_ERROR(
-        multi_->activate(static_cast<int>(handle.id), tid));
-    active_ = View{handle, tid};
-    return Status::ok();
-  }
   Session* target = session(handle);
   if (target == nullptr) {
     return Status(ErrorCode::kNotFound,
                   "no session " + std::to_string(handle.id));
   }
+  // Validate the thread exists in that process (the §4.2 sequence:
+  // clicking thread 2 of process B triggers a call into the server).
   DIONEA_ASSIGN_OR_RETURN(std::vector<RemoteThread> threads,
                           target->threads());
   for (const RemoteThread& t : threads) {
@@ -403,51 +451,66 @@ Result<std::vector<RemoteFrame>> Client::active_frames() {
 
 Result<std::vector<Client::SessionEvent>> Client::poll_events(
     int timeout_millis) {
-  if (mode_ == Mode::kDiscover) {
-    DIONEA_ASSIGN_OR_RETURN(auto pairs, multi_->poll_all_events(timeout_millis));
-    std::vector<SessionEvent> out;
-    out.reserve(pairs.size());
-    for (auto& [pid, event] : pairs) {
-      out.push_back({SessionHandle{pid}, std::move(event)});
+  // Out-of-band observations (note_child_exit) go first: they arrived
+  // earlier than anything still sitting in a socket buffer.
+  std::vector<SessionEvent> out(
+      std::make_move_iterator(pending_events_.begin()),
+      std::make_move_iterator(pending_events_.end()));
+  pending_events_.clear();
+  DIONEA_RETURN_IF_ERROR(mode_ == Mode::kDiscover
+                             ? poll_direct(timeout_millis, &out)
+                             : poll_link(timeout_millis, &out));
+  return out;
+}
+
+Status Client::poll_direct(int timeout_millis, std::vector<SessionEvent>* out) {
+  for (auto& [pid, session] : direct_) {
+    if (reported_dead_.count(pid) > 0) continue;  // already announced
+    SessionHandle handle{pid};
+    if (!session->connected()) {
+      announce_gone(handle, session->terminated_seen(), out);
+      continue;
     }
-    return out;
+    auto event = session->poll_event(timeout_millis);
+    if (!event.is_ok()) {
+      if (event.error().code() != ErrorCode::kClosed) return event.error();
+      // The transport died under us: surface the loss as a first-class
+      // event instead of silently skipping the pid.
+      announce_gone(handle, session->terminated_seen(), out);
+      continue;
+    }
+    if (event.value().has_value()) {
+      note_event(handle, *event.value());
+      out->push_back({handle, std::move(*event.value())});
+    }
   }
+  return Status::ok();
+}
 
-  std::vector<SessionEvent> out;
-  while (!pending_events_.empty()) {
-    out.push_back(std::move(pending_events_.front()));
-    pending_events_.pop_front();
-  }
-
-  if (link_ == nullptr || !link_->connected()) {
-    // The one transport is gone. In hub mode that silences every
-    // session at once; announce each live one exactly once.
+Status Client::poll_link(int timeout_millis, std::vector<SessionEvent>* out) {
+  // The one transport serves every session: once it is gone, each live
+  // session is announced exactly once.
+  auto announce_all = [this, out] {
+    bool clean = link_ != nullptr && link_->terminated_seen();
     for (SessionHandle handle : sessions()) {
-      if (reported_dead_.count(handle.id) > 0) continue;
-      reported_dead_.insert(handle.id);
-      bool clean = link_ != nullptr && link_->terminated_seen();
-      out.push_back({handle, make_gone_event(pid_of(handle), clean)});
+      if (reported_dead_.count(handle.id) == 0) {
+        announce_gone(handle, clean, out);
+      }
     }
-    return out;
+  };
+  if (link_ == nullptr || !link_->connected()) {
+    announce_all();
+    return Status::ok();
   }
-
   int wait = timeout_millis;
   while (true) {
     auto event = link_->poll_event(wait);
     if (!event.is_ok()) {
-      if (event.error().code() == ErrorCode::kClosed) {
-        for (SessionHandle handle : sessions()) {
-          if (reported_dead_.count(handle.id) > 0) continue;
-          reported_dead_.insert(handle.id);
-          out.push_back(
-              {handle, make_gone_event(pid_of(handle),
-                                       link_->terminated_seen())});
-        }
-        return out;
-      }
-      return event.error();
+      if (event.error().code() != ErrorCode::kClosed) return event.error();
+      announce_all();
+      return Status::ok();
     }
-    if (!event.value().has_value()) break;
+    if (!event.value().has_value()) return Status::ok();
     DebugEvent ev = std::move(*event.value());
     // The hub stamps every routed event with its session id; a direct
     // 1.4 server doesn't, so fall back to the link's own session.
@@ -456,18 +519,32 @@ Result<std::vector<Client::SessionEvent>> Client::poll_events(
         sid != 0 ? SessionHandle{sid}
                  : (mode_ == Mode::kSingle ? SessionHandle{link_->pid()}
                                            : SessionHandle{});
-    if (ev.kind == proto::Event::kProcessCrashed ||
-        ev.kind == proto::Event::kProcessExited) {
-      std::string path = ev.payload.get_string("report_path");
-      if (!path.empty()) crash_reports_[handle.id] = path;
-      reported_dead_.insert(handle.id);
-      auto it = known_.find(handle.id);
-      if (it != known_.end()) it->second.alive = false;
-    }
-    out.push_back({handle, std::move(ev)});
+    note_event(handle, ev);
+    out->push_back({handle, std::move(ev)});
     wait = 0;  // drain whatever else is buffered without blocking again
   }
-  return out;
+}
+
+void Client::note_event(SessionHandle handle, const DebugEvent& event) {
+  if (event.kind != proto::Event::kProcessCrashed &&
+      event.kind != proto::Event::kProcessExited) {
+    return;
+  }
+  // The debuggee's last gasp: remember where the corpse is and mark the
+  // session announced, so the transport collapse that follows is not
+  // reported a second time.
+  std::string path = event.payload.get_string("report_path");
+  if (!path.empty()) crash_reports_[handle.id] = path;
+  reported_dead_.insert(handle.id);
+  if (auto it = known_.find(handle.id); it != known_.end()) {
+    it->second.alive = false;
+  }
+}
+
+void Client::announce_gone(SessionHandle handle, bool clean_exit,
+                           std::vector<SessionEvent>* out) {
+  reported_dead_.insert(handle.id);
+  out->push_back({handle, make_gone_event(pid_of(handle), clean_exit)});
 }
 
 Result<std::vector<proto::HubSessionEntry>> Client::hub_sessions() {

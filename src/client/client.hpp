@@ -1,14 +1,17 @@
-// Session-addressed client API (the 1.5 redesign).
+// The multi-process client (Fig. 1): one client holding a session per
+// debuggee process — "1 client : N servers; 1 server : 1 client"
+// (§4.1) — plus the debug-view multiplexing of §4.2 (exactly one active
+// view (process, thread) at a time).
 //
-// The older MultiClient exposes debuggees by pid, which only works
-// when the client itself discovers every process (port-file tailing).
 // Behind a hub the client holds ONE connection and addresses sessions
-// by hub-assigned id; pids are advisory. Client unifies the three
-// transports behind one handle-centric surface:
+// by hub-assigned id; pids are advisory. Client serves the three
+// transports through one handle-centric surface:
 //
-//  - discover(port_file): the classic §5.3 mode. One Session per
-//    debuggee, handles are pids (stable across reconnects — the hub
-//    property holds trivially).
+//  - discover(port_file): the classic §5.3 mode. New processes are
+//    found by tailing the port file fork handler C appends to (the
+//    client half of §5.3 problem 3); one Session per debuggee, handles
+//    are pids (stable across reconnects — the hub property holds
+//    trivially). Waits for a new record block on a watch of the file.
 //  - connect(port): single endpoint. If the peer advertises the `hub`
 //    capability, handles are hub session ids and every request rides
 //    the shared connection with a session_id envelope stamp. If not,
@@ -23,16 +26,32 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "client/multi_client.hpp"
 #include "client/session.hpp"
 #include "debugger/protocol.hpp"
+#include "ipc/port_file.hpp"
 #include "support/result.hpp"
 
 namespace dionea::client {
+
+// Capped exponential backoff with jitter for reconnect(): the first
+// attempt is immediate; attempt n sleeps
+//   delay_n * uniform(1 - jitter, 1 + jitter),
+// delay_{n+1} = min(delay_n * multiplier, max_delay_millis).
+// `seed` (xor'd with the handle id) makes the jitter deterministic in
+// tests.
+struct ReconnectPolicy {
+  int max_attempts = 8;
+  int initial_delay_millis = 20;
+  int max_delay_millis = 1000;
+  double multiplier = 2.0;
+  double jitter = 0.25;
+  std::uint64_t seed = 0x9e3779b97f4a7c15ull;
+};
 
 // Opaque, stable address of one debuggee session. In discover() mode
 // the id happens to equal the pid; against a hub it is the hub's
@@ -59,7 +78,11 @@ class Client {
   bool hub_mode() const noexcept { return mode_ == Mode::kHub; }
 
   // Adopt sessions that appeared since the last call (new port-file
-  // records / new hub registrations). Returns how many are new.
+  // records / new hub registrations). Returns how many are new. A port
+  // record gets one connect: servers listen before they publish, so a
+  // refused record belongs to a process that is gone and is skipped
+  // (records outlive their processes). `timeout_millis` is unused; no
+  // mode waits for anything to appear here.
   Result<int> refresh(int timeout_millis);
 
   // Known live sessions, in handle order.
@@ -92,8 +115,12 @@ class Client {
                              const ReconnectPolicy& policy = {});
 
   // Out-of-band child-exit observation (mp::ChildReaper), direct modes
-  // only; the hub synthesizes these itself.
+  // only; the hub synthesizes these itself. Queues a process-exited /
+  // process-crashed event (`term_signal` != 0: killed by that signal)
+  // and mutes the session.
   void note_child_exit(int pid, int exit_code, int term_signal);
+  // Post-mortem report path from the debuggee's last-gasp
+  // process-crashed event; empty when no crash was seen.
   std::string crash_report_path(SessionHandle handle) const;
 
   // ---- debug views (§4.2) ----
@@ -112,8 +139,11 @@ class Client {
     SessionHandle session;
     DebugEvent event;
   };
-  // Drain pending events across every session. A dead session yields
-  // one synthesized process-exited/process-crashed and is then muted.
+  // Drain pending events across every session (in discover mode
+  // `timeout_millis` is per session). A session whose transport died
+  // yields one synthesized event — process-exited if the debuggee
+  // announced a clean `terminated` first, process-crashed otherwise —
+  // and is then muted until reconnect() revives it.
   Result<std::vector<SessionEvent>> poll_events(int timeout_millis);
 
   // ---- hub-specific (kUnavailable in other modes) ----
@@ -122,35 +152,51 @@ class Client {
   // connect() does this automatically in hub mode.
   Status hub_attach_all();
 
-  // Deprecated escape hatch for code mid-migration: the underlying
-  // MultiClient in discover() mode, null otherwise.
-  MultiClient* legacy() noexcept { return multi_.get(); }
-
  private:
   enum class Mode { kDiscover, kHub, kSingle };
 
   Client() = default;
   Status hub_handshake(std::uint16_t port, int timeout_millis);
+  Result<int> discover_refresh();
   Result<int> hub_refresh(int timeout_millis);
+  // Block until refresh() may find something new; kTimeout (with
+  // `what`) once the mono_seconds() `deadline` has passed.
+  Status await_change(double deadline, const std::string& what);
+  bool live(std::int64_t id) const;
   Session* routed(std::int64_t session_id);
+  // One reconnect attempt per mode; reconnect() owns the backoff.
+  Result<Session*> redial_direct(int pid);
+  Result<Session*> redial_link(SessionHandle handle);
+  Status poll_direct(int timeout_millis, std::vector<SessionEvent>* out);
+  Status poll_link(int timeout_millis, std::vector<SessionEvent>* out);
+  // Bookkeeping for an event about to be handed out: a process-exited
+  // or -crashed one (the server's last gasp) mutes the session and
+  // keeps its crash-report path.
+  void note_event(SessionHandle handle, const DebugEvent& event);
+  void announce_gone(SessionHandle handle, bool clean_exit,
+                     std::vector<SessionEvent>* out);
 
   Mode mode_ = Mode::kDiscover;
 
-  // kDiscover
-  std::unique_ptr<MultiClient> multi_;
+  // kDiscover: one direct Session per debuggee, keyed by pid.
+  std::optional<ipc::PortFile> port_file_;
+  size_t records_seen_ = 0;
+  std::map<std::int64_t, std::unique_ptr<Session>> direct_;
 
   // kHub / kSingle: the one connection.
   std::unique_ptr<Session> link_;
   std::uint16_t endpoint_port_ = 0;
   std::string token_;
+  std::map<std::int64_t, dbg::proto::HubSessionEntry> known_;  // kHub
 
-  // kHub bookkeeping.
-  std::map<std::int64_t, dbg::proto::HubSessionEntry> known_;
-  std::deque<std::int64_t> unclaimed_;
+  // Every mode, keyed by handle id.
+  std::deque<std::int64_t> unclaimed_;  // adopted, not yet handed out
   std::set<std::int64_t> claimed_;
+  // Sessions whose death was already reported; they are skipped, not
+  // erased (state like breakpoints_set survives for reconnect).
   std::set<std::int64_t> reported_dead_;
   std::map<std::int64_t, std::string> crash_reports_;
-  std::deque<SessionEvent> pending_events_;  // note_child_exit, kSingle
+  std::deque<SessionEvent> pending_events_;  // note_child_exit
   View active_{};
 };
 

@@ -59,7 +59,8 @@ struct BreakpointSpec {
 class Session {
  public:
   // Connect both channels to a server's listener port. Retries until
-  // `timeout_millis` (the server may still be starting). The first
+  // `timeout_millis` (the server may still be starting); 0 connects
+  // once, for a peer known to be listening already. The first
   // ping doubles as the handshake; the server advertises its heartbeat
   // interval there and the session derives its dead-peer timeout
   // (5 × interval) from it.

@@ -156,6 +156,12 @@ void DebugServer::fork_child() {
   crash::refresh_after_fork();
   audit.note_child("crash.report");
   if (listener_) listener_->close();
+  // A connection the parent's listener thread was still handshaking.
+  if (handshake_fd_ >= 0 && handshake_fd_ != control_.raw_fd() &&
+      handshake_fd_ != events_.raw_fd()) {
+    ::close(handshake_fd_);
+  }
+  handshake_fd_ = -1;
   control_.close();
   events_.close();
   // Backlogged events belong to the parent's session; the parent will

@@ -100,7 +100,7 @@ enum class Event : int {
   // Liveness beacon pushed on the events channel every heartbeat_ms
   // (advertised in the ping/info response). Transport-internal.
   kHeartbeat,     // pid
-  // Synthesized CLIENT-side (MultiClient) when a debuggee goes away:
+  // Synthesized CLIENT-side (client::Client) when a debuggee goes away:
   // process-exited after a clean `terminated`, process-crashed when
   // the connection died without one (SIGKILL, abort, lost peer).
   // Since 1.4 a crashing server also pushes process-crashed itself

@@ -12,6 +12,7 @@
 #include "replay/timetravel.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
+#include "support/scope_guard.hpp"
 #include "support/strings.hpp"
 #include "support/temp_file.hpp"
 #include "support/timing.hpp"
@@ -686,12 +687,25 @@ void DebugServer::park_thread(vm::InterpThread& th,
 // ----------------------------------------------------------- connections
 
 void DebugServer::handle_new_connection() {
-  auto accepted = listener_->accept();
-  if (!accepted.is_ok()) {
-    DLOG_WARN("dbg") << "accept failed: " << accepted.error().to_string();
-    return;
+  ipc::TcpStream stream;
+  {
+    // The reactor saw the listener readable, so this does not block.
+    std::scoped_lock lock(state_mutex_);
+    auto accepted = listener_->accept_timeout(0);
+    if (!accepted.is_ok()) {
+      DLOG_WARN("dbg") << "accept failed: " << accepted.error().to_string();
+      return;
+    }
+    stream = std::move(accepted).value();
+    handshake_fd_ = stream.raw_fd();
   }
-  ipc::TcpStream stream = std::move(accepted).value();
+  // Every way out: forget the fd and close it (unless it was handed
+  // to control_/events_) in one critical section.
+  auto forget = on_scope_exit([this, &stream] {
+    std::scoped_lock lock(state_mutex_);
+    handshake_fd_ = -1;
+    stream.close();
+  });
   auto frame = ipc::recv_frame_timeout(stream, 2000);
   if (!frame.is_ok()) {
     DLOG_WARN("dbg") << "bad hello: " << frame.error().to_string();

@@ -273,6 +273,12 @@ class DebugServer {
   mutable std::mutex state_mutex_;
   ipc::TcpStream control_;
   std::map<std::int64_t, std::shared_ptr<ThreadDebug>> thread_debug_;
+  // A connection accepted but not yet past its hello lives only on the
+  // listener thread's stack. Its fd is recorded here, accepted and
+  // forgotten under state_mutex_, so handler C can close it in a child
+  // forked mid-handshake — otherwise the child keeps the client's
+  // connection open after this process is gone (Fig. 5).
+  int handshake_fd_ = -1;
 
   // Event channel has its own lock so debuggee threads never contend
   // with long-running control commands. Also pinned across fork.

@@ -31,7 +31,7 @@ Status apply_io_fault(const char* site, size_t* chunk, bool* interrupted) {
     case fault::Kind::kConnReset:
       return errno_error(std::string(site) + " (injected)", ECONNRESET);
     case fault::Kind::kDelay:
-      sleep_for_millis(decision.delay_millis);
+      sleep_for_millis(decision.delay_millis);  // sleep-ok: injected delay
       return Status::ok();
     case fault::Kind::kShortIo:
       *chunk = std::min(*chunk, std::max<size_t>(decision.cap_bytes, 1));

@@ -1,10 +1,17 @@
 #include "ipc/port_file.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
+#include <sys/inotify.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
+#include <cstring>
+#include <string_view>
+#include <utility>
 
 #include "support/fault.hpp"
 #include "support/strings.hpp"
@@ -12,6 +19,28 @@
 #include "support/timing.hpp"
 
 namespace dionea::ipc {
+
+namespace {
+
+// Re-read cadence when no inotify watch can be armed.
+constexpr int kFallbackSliceMillis = 5;
+
+// Race widener: tests hold a waiter at `site` with an injected delay.
+void injected_delay(const char* site) {
+  if (fault::Decision f = fault::probe(site); f.kind == fault::Kind::kDelay) {
+    sleep_for_millis(f.delay_millis);  // sleep-ok: fault-injected delay
+  }
+}
+
+// Directory and entry name of `path`; the watch is on the directory so
+// that creating or renaming the file over is seen like an append.
+std::pair<std::string, std::string> split_path(const std::string& path) {
+  size_t slash = path.rfind('/');
+  if (slash == std::string::npos) return {".", path};
+  return {slash == 0 ? "/" : path.substr(0, slash), path.substr(slash + 1)};
+}
+
+}  // namespace
 
 Status PortFile::publish(const PortRecord& record) const {
   // O_RDWR (not O_WRONLY): we pread the current tail byte to self-heal
@@ -101,11 +130,12 @@ Result<PortRecord> PortFile::await_pid(int pid, int timeout_millis) const {
     for (auto it = records.rbegin(); it != records.rend(); ++it) {
       if (it->pid == pid) return *it;
     }
-    if (watch.elapsed_seconds() * 1000.0 > timeout_millis) {
+    double left_millis = timeout_millis - watch.elapsed_seconds() * 1000.0;
+    if (left_millis < 0) {
       return Error(ErrorCode::kTimeout,
                    "no port record for pid " + std::to_string(pid));
     }
-    sleep_for_millis(5);
+    wait_change(static_cast<int>(std::ceil(left_millis)));
   }
 }
 
@@ -114,6 +144,69 @@ Result<std::vector<PortRecord>> PortFile::read_new(size_t already_seen) const {
   if (records.size() <= already_seen) return std::vector<PortRecord>{};
   return std::vector<PortRecord>(records.begin() + already_seen,
                                  records.end());
+}
+
+void PortFile::arm_watch() const {
+  watch_ = Watch::kUnavailable;
+  Fd fd(::inotify_init1(IN_NONBLOCK | IN_CLOEXEC));
+  if (!fd.valid()) return;
+  if (::inotify_add_watch(fd.get(), split_path(path_).first.c_str(),
+                          IN_MODIFY | IN_CREATE | IN_MOVED_TO) < 0) {
+    return;  // no watch held: closing this fd is cheap
+  }
+  inotify_ = std::move(fd);
+  watch_ = Watch::kArmed;
+}
+
+void PortFile::wait_change(int timeout_millis) const {
+  if (watch_ == Watch::kUnarmed) {
+    injected_delay("port_file.watch.arm");
+    arm_watch();
+    injected_delay("port_file.watch.reread");
+    if (watch_ == Watch::kArmed) return;  // the caller re-reads first
+  }
+  if (watch_ == Watch::kUnavailable) {
+    int slice = std::min(timeout_millis, kFallbackSliceMillis);
+    sleep_for_millis(slice);  // sleep-ok: fallback without inotify
+    return;
+  }
+  const std::string name = split_path(path_).second;
+  const double deadline = mono_seconds() + timeout_millis / 1000.0;
+  while (true) {
+    int remaining = std::max(
+        0, static_cast<int>(std::ceil((deadline - mono_seconds()) * 1000.0)));
+    pollfd pfd{inotify_.get(), POLLIN, 0};
+    int rc = ::poll(&pfd, 1, remaining);
+    if (rc == 0) return;  // timed out
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      watch_ = Watch::kUnavailable;
+      return;
+    }
+    // Drain every queued event before the caller re-reads: an append
+    // after this drain queues a fresh event, so none is lost.
+    bool changed = false;
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(inotify_.get(), buf, sizeof(buf))) > 0) {
+      const auto got = static_cast<size_t>(n);
+      for (size_t off = 0; off + sizeof(inotify_event) <= got;) {
+        inotify_event event{};
+        std::memcpy(&event, buf + off, sizeof(event));
+        // The entry name follows the header, NUL-padded to event.len.
+        const char* entry = buf + off + sizeof(event);
+        if ((event.mask & IN_IGNORED) != 0) {
+          watch_ = Watch::kUnavailable;  // the directory went away
+        }
+        if ((event.mask & (IN_Q_OVERFLOW | IN_IGNORED)) != 0 ||
+            name == std::string_view(entry, ::strnlen(entry, event.len))) {
+          changed = true;
+        }
+        off += sizeof(event) + event.len;
+      }
+    }
+    if (changed || remaining == 0) return;
+  }
 }
 
 }  // namespace dionea::ipc

@@ -10,12 +10,18 @@
 // writes (atomic for short writes), so parent and any number of
 // children can publish concurrently without a lock shared across the
 // fork boundary — exactly the constraint fork handler C operates under.
+//
+// Readers that wait for a record block on an inotify watch of the
+// file's directory (IN_MODIFY | IN_CREATE | IN_MOVED_TO, so a file that
+// does not exist yet or is replaced by rename is covered too) instead
+// of re-reading on a sleep cadence; see wait_change().
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "ipc/fd.hpp"
 #include "support/result.hpp"
 
 namespace dionea::ipc {
@@ -53,8 +59,27 @@ class PortFile {
   // Records appended after the first `already_seen` ones.
   Result<std::vector<PortRecord>> read_new(size_t already_seen) const;
 
+  // Block until the file may have changed since the caller last read
+  // it, or `timeout_millis` passes; the caller then re-reads. The first
+  // call only arms the watch and returns at once, so a waiter's loop
+  // runs read, miss, arm, re-read, block: an append that lands before
+  // the watch exists is seen by the re-read, one that lands after it
+  // wakes the block. Nothing is armed until a reader first misses, and
+  // the watch then lives as long as this PortFile — closing an inotify
+  // descriptor that holds a watch can block for ~16 ms on current
+  // kernels, far more than one wait. Without inotify (ENOSYS, EMFILE,
+  // a missing directory) each call sleeps one bounded slice instead.
+  // Not safe for concurrent waiters on one PortFile.
+  void wait_change(int timeout_millis) const;
+
  private:
+  enum class Watch { kUnarmed, kArmed, kUnavailable };
+
+  void arm_watch() const;
+
   std::string path_;
+  mutable Watch watch_ = Watch::kUnarmed;
+  mutable Fd inotify_;
 };
 
 }  // namespace dionea::ipc

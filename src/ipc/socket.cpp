@@ -72,7 +72,9 @@ Result<TcpStream> TcpListener::accept() {
     // Delayed-accept injection widens the window in which a client's
     // connect has succeeded but no one is reading its hello yet.
     if (fault::Decision f = fault::probe("socket.accept")) {
-      if (f.kind == fault::Kind::kDelay) sleep_for_millis(f.delay_millis);
+      if (f.kind == fault::Kind::kDelay) {
+        sleep_for_millis(f.delay_millis);  // sleep-ok: fault-injected delay
+      }
       if (f.kind == fault::Kind::kEintr) continue;
       if (f.kind == fault::Kind::kConnReset) {
         return errno_error("accept (injected)", ECONNRESET);
@@ -108,7 +110,9 @@ Result<TcpStream> TcpStream::connect(std::uint16_t port) {
   sockaddr_in addr = loopback_addr(port);
   while (true) {
     if (fault::Decision f = fault::probe("socket.connect")) {
-      if (f.kind == fault::Kind::kDelay) sleep_for_millis(f.delay_millis);
+      if (f.kind == fault::Kind::kDelay) {
+        sleep_for_millis(f.delay_millis);  // sleep-ok: fault-injected delay
+      }
       if (f.kind == fault::Kind::kEintr) continue;
       if (f.kind == fault::Kind::kConnReset) {
         return errno_error("connect (injected)", ECONNRESET);
@@ -129,12 +133,13 @@ Result<TcpStream> TcpStream::connect_retry(std::uint16_t port,
   while (true) {
     auto stream = connect(port);
     if (stream.is_ok()) return stream;
-    if (watch.elapsed_seconds() * 1000.0 > timeout_millis) {
+    if (timeout_millis <= 0 ||
+        watch.elapsed_seconds() * 1000.0 > timeout_millis) {
       return Error(ErrorCode::kTimeout,
                    "connect_retry to port " + std::to_string(port) + ": " +
                        stream.error().message());
     }
-    sleep_for_millis(5);
+    sleep_for_millis(5);  // sleep-ok: connect_retry races server start
   }
 }
 

@@ -51,6 +51,7 @@ class TcpStream {
 
   static Result<TcpStream> connect(std::uint16_t port);
   // Retry connect until deadline — the client races server startup.
+  // A budget of 0 makes exactly one attempt.
   static Result<TcpStream> connect_retry(std::uint16_t port,
                                          int timeout_millis);
 

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -14,6 +15,7 @@
 
 #include "ipc/pipe.hpp"
 #include "mp/serialize.hpp"
+#include "support/child_wait.hpp"
 #include "support/logging.hpp"
 #include "support/timing.hpp"
 
@@ -149,24 +151,15 @@ void kill_and_reap(std::vector<Worker>& workers) {
 // hang forever waiting for an EOF that a sibling's leaked fd keeps
 // from arriving.
 bool reap_until(std::vector<Worker>& workers, double deadline_mono) {
-  while (true) {
-    bool any_left = false;
-    for (Worker& worker : workers) {
-      if (worker.pid <= 0) continue;
-      int status = 0;
-      pid_t got = ::waitpid(worker.pid, &status, WNOHANG);
-      if (got == worker.pid) {
-        worker.pid = -1;
-      } else if (got == 0) {
-        any_left = true;
-      } else if (errno != EINTR) {
-        worker.pid = -1;
-      }
-    }
-    if (!any_left) return true;
-    if (mono_seconds() >= deadline_mono) return false;
-    sleep_for_millis(5);
+  for (Worker& worker : workers) {
+    if (worker.pid <= 0) continue;
+    int remaining =
+        static_cast<int>(std::ceil((deadline_mono - mono_seconds()) * 1e3));
+    auto reaped = wait_child_exit(worker.pid, remaining);
+    if (reaped.is_ok() && !reaped.value().has_value()) return false;
+    worker.pid = -1;  // reaped, or not ours to wait for any more
   }
+  return true;
 }
 
 }  // namespace
@@ -226,9 +219,10 @@ Result<std::vector<Value>> map_in_processes(
           pipes_ready.fetch_add(1, std::memory_order_acq_rel);
           while (pipes_ready.load(std::memory_order_acquire) < worker_count &&
                  mono_seconds() < deadline) {
-            sleep_for_millis(1);
+            sleep_for_millis(1);  // sleep-ok: disturb-mode fork window
           }
-          sleep_for_millis(options.disturb_delay_millis);
+          sleep_for_millis(  // sleep-ok: disturb-mode delay
+              options.disturb_delay_millis);
         }
         {
           std::scoped_lock lock(fork_mutex);
@@ -252,7 +246,7 @@ Result<std::vector<Value>> map_in_processes(
           forks_done.fetch_add(1, std::memory_order_acq_rel);
           while (forks_done.load(std::memory_order_acquire) < worker_count &&
                  mono_seconds() < deadline) {
-            sleep_for_millis(1);
+            sleep_for_millis(1);  // sleep-ok: disturb-mode fork window
           }
         }
         worker.in.close_read();

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "support/timing.hpp"
+#include "support/child_wait.hpp"
 
 namespace dionea::mp {
 
@@ -72,35 +72,26 @@ Result<int> Process::wait() {
       return errno_error("waitpid", errno);
     }
     pid_ = -1;
-    if (WIFEXITED(status)) return WEXITSTATUS(status);
-    if (WIFSIGNALED(status)) return -WTERMSIG(status);
-    return -1;
+    return exit_code_of(status);
   }
 }
 
-Result<std::optional<int>> Process::try_wait() {
-  if (!valid()) return Error(ErrorCode::kInvalidArgument, "invalid process");
-  int status = 0;
-  pid_t got = ::waitpid(pid_, &status, WNOHANG);
-  if (got < 0) return errno_error("waitpid", errno);
-  if (got == 0) return std::optional<int>();
-  pid_ = -1;
-  if (WIFEXITED(status)) return std::optional<int>(WEXITSTATUS(status));
-  if (WIFSIGNALED(status)) return std::optional<int>(-WTERMSIG(status));
-  return std::optional<int>(-1);
-}
+Result<std::optional<int>> Process::try_wait() { return reap(0); }
 
 Result<int> Process::wait_timeout(int timeout_millis) {
-  Stopwatch watch;
-  while (true) {
-    DIONEA_ASSIGN_OR_RETURN(std::optional<int> code, try_wait());
-    if (code.has_value()) return *code;
-    if (watch.elapsed_seconds() * 1000.0 > timeout_millis) {
-      return Error(ErrorCode::kTimeout,
-                   "pid " + std::to_string(pid_) + " still running");
-    }
-    sleep_for_millis(5);
-  }
+  DIONEA_ASSIGN_OR_RETURN(std::optional<int> code, reap(timeout_millis));
+  if (code.has_value()) return *code;
+  return Error(ErrorCode::kTimeout,
+               "pid " + std::to_string(pid_) + " still running");
+}
+
+Result<std::optional<int>> Process::reap(int timeout_millis) {
+  if (!valid()) return Error(ErrorCode::kInvalidArgument, "invalid process");
+  DIONEA_ASSIGN_OR_RETURN(std::optional<int> status,
+                          wait_child_exit(pid_, timeout_millis));
+  if (!status.has_value()) return std::optional<int>();
+  pid_ = -1;
+  return std::optional<int>(exit_code_of(*status));
 }
 
 Status Process::kill(int signal) {

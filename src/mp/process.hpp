@@ -60,7 +60,7 @@ class Process {
   Result<int> wait();
   // Non-blocking: nullopt while still running.
   Result<std::optional<int>> try_wait();
-  // Wait with timeout (polling); kTimeout if still alive.
+  // Wait up to `timeout_millis` for exit; kTimeout if still alive.
   Result<int> wait_timeout(int timeout_millis);
 
   // Stop the child without leaking a zombie: reap if already dead,
@@ -76,6 +76,10 @@ class Process {
 
  private:
   explicit Process(pid_t pid) : pid_(pid) {}
+  // Reap the child if it exits within `timeout_millis` (0: only
+  // check); nullopt while it is still running.
+  Result<std::optional<int>> reap(int timeout_millis);
+
   pid_t pid_ = -1;
 };
 

@@ -151,7 +151,7 @@ Result<ChildReaper::Exit> ChildReaper::wait_any(int timeout_millis) {
       (void)::poll(&pfd, 1, slice);
       drain_sigchld_pipe();
     } else {
-      sleep_for_millis(slice < 5 ? slice : 5);
+      sleep_for_millis(slice < 5 ? slice : 5);  // sleep-ok: no SIGCHLD pipe
     }
   }
 }
@@ -176,7 +176,7 @@ Result<std::vector<ChildReaper::Exit>> ChildReaper::drain(int timeout_millis) {
       (void)::poll(&pfd, 1, slice);
       drain_sigchld_pipe();
     } else {
-      sleep_for_millis(slice < 5 ? slice : 5);
+      sleep_for_millis(slice < 5 ? slice : 5);  // sleep-ok: no SIGCHLD pipe
     }
   }
   return exits;

@@ -605,7 +605,8 @@ void CheckpointManager::start_pause_watcher(vm::Vm& vm, std::uint64_t target) {
     std::uint64_t prev = vmp->statements_executed();
     int stable = 0;
     for (int i = 0; i < 2000 && stable < 3; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      std::this_thread::sleep_for(  // sleep-ok: resume quiesce poll
+          std::chrono::milliseconds(10));
       std::uint64_t cur = vmp->statements_executed();
       if (cur == prev && vmp->gil().owner() == 0) {
         ++stable;

@@ -1,5 +1,7 @@
 #include "support/metrics.hpp"
 
+#include <pthread.h>
+
 #include <cstdlib>
 #include <cstring>
 
@@ -138,7 +140,18 @@ Registry::Registry() {
 Registry& Registry::instance() {
   // Leaked singleton: debuggee threads may record during static
   // destruction; shards must outlive everything.
-  static Registry* registry = new Registry();
+  static Registry* registry = [] {
+    auto* created = new Registry();
+    // A thread's first metric (acquire_shard), its exit (release_shard)
+    // and `stats` (snapshot) hold mutex_; a fork landing inside one of
+    // them would hand the child a locked registry, and handler C's
+    // reset() would deadlock on it. Pin the mutex across every fork;
+    // it is a leaf lock, so the order against other handlers is moot.
+    (void)pthread_atfork([] { instance().mutex_.lock(); },
+                         [] { instance().mutex_.unlock(); },
+                         [] { instance().mutex_.unlock(); });
+    return created;
+  }();
   return *registry;
 }
 

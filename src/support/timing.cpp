@@ -24,7 +24,10 @@ void sleep_for_millis(std::int64_t millis) {
   req.tv_sec = static_cast<time_t>(millis / 1000);
   req.tv_nsec = static_cast<long>((millis % 1000) * 1'000'000L);
   timespec rem{};
-  while (::nanosleep(&req, &rem) != 0 && errno == EINTR) req = rem;
+  while (::nanosleep(&req, &rem) != 0 &&  // sleep-ok: the primitive
+         errno == EINTR) {
+    req = rem;
+  }
 }
 
 std::string format_duration(double seconds) {

@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,6 +12,7 @@
 
 #include "analysis/analysis.hpp"
 #include "replay/replay.hpp"
+#include "support/child_wait.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/temp_file.hpp"
@@ -905,35 +905,27 @@ void install_process(Vm& vm) {
         replay::Engine& rep = replay::Engine::instance();
         std::int64_t code = 0;
         bool real_verdict = false;
-        int wait_errno = 0;
+        std::string wait_error;
         {
           Vm::BlockScope scope(v, th, ThreadState::kIoBlocked, "waitpid");
+          // One wait slice per pass: the child's exit wakes the wait at
+          // once, the slice only bounds how late an interrupt is seen.
           while (true) {
-            int status = 0;
-            pid_t got = ::waitpid(pid, &status, WNOHANG);
-            if (got == pid) {
-              if (WIFEXITED(status)) {
-                code = WEXITSTATUS(status);
-              } else if (WIFSIGNALED(status)) {
-                code = -WTERMSIG(status);
-              } else {
-                code = -1;
-              }
+            auto waited = wait_child_exit(pid, Vm::kWaitSliceMillis);
+            if (!waited.is_ok()) {
+              wait_error = waited.error().message();
+              if (rep.replaying()) break;  // fall back to the logged verdict
+              return v.runtime_error(th, wait_error);
+            }
+            if (waited.value().has_value()) {
+              code = exit_code_of(*waited.value());
               real_verdict = true;
               break;
-            }
-            if (got < 0) {
-              wait_errno = errno;
-              if (rep.replaying()) break;  // fall back to the logged verdict
-              return v.runtime_error(
-                  th, strings::format("waitpid(%d): %s", static_cast<int>(pid),
-                                      std::strerror(wait_errno)));
             }
             if (th.interrupt.load(std::memory_order_relaxed) !=
                 InterruptReason::kNone) {
               return err_from_interrupt(v, th);
             }
-            sleep_for_millis(Vm::kWaitSliceMillis / 2);
           }
         }
         if (rep.replaying()) {
@@ -943,11 +935,7 @@ void install_process(Vm& vm) {
             return Value(static_cast<std::int64_t>(recorded_bits));
           }
           // Diverged: free-run on whatever the real wait produced.
-          if (!real_verdict) {
-            return v.runtime_error(
-                th, strings::format("waitpid(%d): %s", static_cast<int>(pid),
-                                    std::strerror(wait_errno)));
-          }
+          if (!real_verdict) return v.runtime_error(th, wait_error);
           return Value(code);
         }
         rep.record(replay::EventKind::kWaitResult, th.id(), 0,

@@ -113,7 +113,8 @@ void Gil::yield(std::int64_t tid) {
           if (!rep.stop_gated()) return;
           release();  // re-armed while we took it: park again
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::this_thread::sleep_for(  // sleep-ok: replay stop-gate park
+            std::chrono::milliseconds(2));
       }
     }
     // Hand off exactly where the recording did. The probe asks "is a

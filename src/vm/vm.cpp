@@ -1351,7 +1351,7 @@ void Vm::shutdown_threads() {
       warned = true;
       DLOG_ERROR("vm") << "threads did not exit within 30s of shutdown";
     }
-    sleep_for_millis(5);
+    sleep_for_millis(5);  // sleep-ok: shutdown polls for thread exits
   }
 }
 

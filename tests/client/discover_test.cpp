@@ -1,5 +1,7 @@
-// Client (discover mode, the MultiClient engine underneath): port-file
-// adoption, 1-client-N-sessions (§4.1), debug view multiplexing (§4.2).
+// Client in discover mode: port-file adoption, 1-client-N-sessions
+// (§4.1), debug view multiplexing (§4.2).
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "testutil.hpp"
@@ -10,7 +12,7 @@ namespace {
 using test::DebugHarness;
 using test::HarnessOptions;
 
-TEST(MultiClientTest, RefreshOnEmptyFileFindsNothing) {
+TEST(DiscoverTest, RefreshOnEmptyFileFindsNothing) {
   auto tmp = TempDir::create("mc-test");
   ASSERT_TRUE(tmp.is_ok());
   std::unique_ptr<Client> cc = Client::discover(tmp.value().file("ports"));
@@ -23,10 +25,11 @@ TEST(MultiClientTest, RefreshOnEmptyFileFindsNothing) {
   EXPECT_FALSE(cc->hub_mode());
 }
 
-TEST(MultiClientTest, StaleRecordForDeadProcessSkipped) {
+TEST(DiscoverTest, StaleRecordForDeadProcessSkipped) {
   auto tmp = TempDir::create("mc-test");
   ASSERT_TRUE(tmp.is_ok());
-  ipc::PortFile file(tmp.value().file("ports"));
+  const std::string ports = tmp.value().file("ports");
+  ipc::PortFile file(ports);
   // A record for a process that is long gone.
   std::uint16_t dead_port;
   {
@@ -35,13 +38,29 @@ TEST(MultiClientTest, StaleRecordForDeadProcessSkipped) {
     dead_port = listener.value().port();
   }
   ASSERT_TRUE(file.publish(ipc::PortRecord{999'999, 1, dead_port, 0}).is_ok());
-  std::unique_ptr<Client> cc = Client::discover(tmp.value().file("ports"));
-  auto added = cc->refresh(300);
-  ASSERT_TRUE(added.is_ok());
-  EXPECT_EQ(added.value(), 0);
+  // A live debuggee publishes after it.
+  vm::Interp interp;
+  dbg::DebugServer::Options options;
+  options.port_file = ports;
+  options.stop_at_entry = false;
+  dbg::DebugServer server(interp.vm(), options);
+  ASSERT_TRUE(server.start().is_ok());
+
+  std::unique_ptr<Client> cc = Client::discover(ports);
+  // The refused record costs one connect, not the whole timeout.
+  Stopwatch watch;
+  auto added = cc->refresh(5000);
+  EXPECT_LT(watch.elapsed_seconds(), 1.0);
+  ASSERT_TRUE(added.is_ok()) << added.error().to_string();
+  EXPECT_EQ(added.value(), 1);
+  EXPECT_FALSE(cc->handle_for_pid(999'999).valid());
+  SessionHandle live = cc->handle_for_pid(static_cast<int>(::getpid()));
+  ASSERT_TRUE(live.valid());
+  EXPECT_NE(cc->session(live), nullptr);
+  server.stop();
 }
 
-TEST(MultiClientTest, ForkGrowsSessionsToTwo) {
+TEST(DiscoverTest, ForkGrowsSessionsToTwo) {
   DebugHarness harness(
       "pid = fork(fn()\n"
       "  sleep(0.3)\n"
@@ -66,7 +85,7 @@ TEST(MultiClientTest, ForkGrowsSessionsToTwo) {
   harness.join();
 }
 
-TEST(MultiClientTest, ActivateValidatesProcessAndThread) {
+TEST(DiscoverTest, ActivateValidatesProcessAndThread) {
   // Long-lived debuggee: the activations below must not race the
   // program running off the end (request_exit ends it early).
   DebugHarness harness("sleep(30)",
@@ -90,7 +109,7 @@ TEST(MultiClientTest, ActivateValidatesProcessAndThread) {
   harness.join();
 }
 
-TEST(MultiClientTest, ActiveSourceAndFramesFollowView) {
+TEST(DiscoverTest, ActiveSourceAndFramesFollowView) {
   DebugHarness harness(
       "fn f()\n"
       "  sleep(1)\n"
@@ -115,7 +134,7 @@ TEST(MultiClientTest, ActiveSourceAndFramesFollowView) {
   harness.join();
 }
 
-TEST(MultiClientTest, PollEventsAcrossSessions) {
+TEST(DiscoverTest, PollEventsAcrossSessions) {
   DebugHarness harness(
       "pid = fork(fn()\n"
       "  t = spawn(fn() return 1 end)\n"
@@ -150,7 +169,7 @@ TEST(MultiClientTest, PollEventsAcrossSessions) {
   EXPECT_EQ(sessions_with_events.count(harness.handle().id), 1u);
 }
 
-TEST(MultiClientTest, ClaimPreventsHandout) {
+TEST(DiscoverTest, ClaimPreventsHandout) {
   auto tmp = TempDir::create("mc-test");
   ASSERT_TRUE(tmp.is_ok());
   std::unique_ptr<Client> cc = Client::discover(tmp.value().file("ports"));

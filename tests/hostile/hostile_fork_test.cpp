@@ -4,12 +4,14 @@
 // child either exits cleanly or leaves a post-mortem report, and
 // MiniSan stays quiet about the debugger's own machinery.
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "ipc/socket.hpp"
 #include "support/crash_report.hpp"
 #include "support/temp_file.hpp"
 #include "testutil.hpp"
@@ -301,6 +303,39 @@ TEST(HostileForkTest, DoubleForkWithDeadIntermediateParent) {
   auto result = harness.join();
   EXPECT_TRUE(result.ok) << result.error.to_string();
   EXPECT_EQ(harness.output(), "3\n");
+  expect_parent_survived(harness);
+}
+
+// Fork while a client connection is mid-handshake: the listener thread
+// has accepted it but its hello has not arrived (here it never does).
+// The child must not inherit the connection, or the peer would see it
+// stay open until the child exits instead of when the parent's server
+// gives up on the hello (2 s).
+TEST(HostileForkTest, ForkMidHandshakeDoesNotLeakTheConnection) {
+  DebugHarness harness(
+      "sleep(0.3)\n"  // the silent connection below is pending by now
+      "pid = fork(fn()\n"
+      "  sleep(4)\n"
+      "end)\n"
+      "puts(waitpid(pid))",
+      HarnessOptions{.stop_at_entry = false});
+  harness.launch();
+  auto silent = ipc::TcpStream::connect(harness.server().port());
+  ASSERT_TRUE(silent.is_ok()) << silent.error().to_string();
+  auto forked = harness.session()->wait_event(proto::Event::kForked, 10'000);
+  ASSERT_TRUE(forked.is_ok()) << forked.error().to_string();
+  auto child = static_cast<pid_t>(forked.value().payload.get_int("child_pid"));
+
+  auto readable = silent.value().readable(3'500);
+  ASSERT_TRUE(readable.is_ok()) << readable.error().to_string();
+  ASSERT_TRUE(readable.value()) << "the forked child kept the connection open";
+  char byte = 0;
+  EXPECT_EQ(::recv(silent.value().raw_fd(), &byte, 1, 0), 0);  // EOF
+  EXPECT_EQ(::kill(child, 0), 0) << "the child exited before the check";
+
+  auto result = harness.join();
+  EXPECT_TRUE(result.ok) << result.error.to_string();
+  EXPECT_EQ(harness.output(), "0\n");
   expect_parent_survived(harness);
 }
 

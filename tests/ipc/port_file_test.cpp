@@ -3,10 +3,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "support/fault.hpp"
+#include "support/rng.hpp"
 #include "support/temp_file.hpp"
 #include "support/timing.hpp"
 
@@ -109,6 +113,86 @@ TEST_F(PortFileTest, AwaitPidSeesLatePublisher) {
   publisher.join();
   ASSERT_TRUE(record.is_ok());
   EXPECT_EQ(record.value().port, 3333);
+}
+
+// Lost-wakeup race on the watch: the awaited record lands before the
+// watch is armed, between arming and the re-read, or after the re-read
+// (the waiter is blocked). Injected delays at the two watch sites hold
+// the waiter in each window, and the fault probe counter tells the
+// publisher which window the waiter is in.
+TEST_F(PortFileTest, AwaitPidNeverLosesARacingAppend) {
+  fault::Scope scope(fault::Config{.seed = 14,
+                                   .probability = 1.0,
+                                   .kinds = fault::kBitDelay,
+                                   .site_filter = "port_file.watch"});
+  fault::Injector& injector = fault::Injector::instance();
+  // Closing a watched inotify fd waits out a kernel grace period
+  // (~16 ms each); close the spent waiters concurrently, in batches.
+  std::vector<std::unique_ptr<PortFile>> spent;
+  auto close_spent = [&spent] {
+    std::vector<std::thread> closers;
+    for (auto& waiter : spent) {
+      closers.emplace_back([w = std::move(waiter)]() mutable { w.reset(); });
+    }
+    for (std::thread& closer : closers) closer.join();
+    spent.clear();
+  };
+  Rng rng(20'151);
+  int landed[3] = {0, 0, 0};
+  for (int i = 0; i < 200; ++i) {
+    const int point = static_cast<int>(rng.next_u64() % 3);
+    const std::string ports = tmp_->file("race" + std::to_string(i));
+    const std::uint64_t base = injector.probes();
+    std::thread publisher([&] {
+      // Probe 1 is the waiter sleeping before it arms, probe 2 the
+      // waiter sleeping between arming and its re-read.
+      const std::uint64_t target = base + (point == 0 ? 1 : 2);
+      Stopwatch watch;
+      while (injector.probes() < target && watch.elapsed_seconds() < 5) {
+        std::this_thread::yield();
+      }
+      // Past the longest injected delay: the re-read is done.
+      if (point == 2) sleep_for_millis(12);
+      PortRecord record{4242, 1, 4321, i};
+      EXPECT_TRUE(PortFile(ports).publish(record).is_ok());
+    });
+    Stopwatch watch;
+    spent.push_back(std::make_unique<PortFile>(ports));
+    auto record = spent.back()->await_pid(4242, 5000);
+    publisher.join();
+    if (spent.size() == 20) close_spent();
+    ASSERT_TRUE(record.is_ok())
+        << "iteration " << i << " point " << point << ": "
+        << record.error().to_string();
+    EXPECT_EQ(record.value().seq, i);
+    EXPECT_LT(watch.elapsed_seconds(), 1.0) << "iteration " << i;
+    ++landed[point];
+  }
+  for (int count : landed) EXPECT_GT(count, 0);
+}
+
+// A torn append wakes the waiter, which skips the fragment and keeps
+// waiting; the whole record that follows wakes it again.
+TEST_F(PortFileTest, AwaitPidWakesPastTornAppend) {
+  PortFile file(path());
+  std::thread publisher([this] {
+    sleep_for_millis(20);  // the waiter has missed and is blocked
+    fault::Scope scope(fault::Config{.seed = 7,
+                                     .probability = 1.0,
+                                     .kinds = fault::kBitTorn,
+                                     .site_filter = "port_file.append"});
+    EXPECT_TRUE(PortFile(path()).publish(PortRecord{31, 1, 3100, 0}).is_ok());
+  });
+  Stopwatch watch;
+  auto record = file.await_pid(31, 5000);
+  publisher.join();
+  ASSERT_TRUE(record.is_ok()) << record.error().to_string();
+  EXPECT_EQ(record.value(), (PortRecord{31, 1, 3100, 0}));
+  EXPECT_LT(watch.elapsed_seconds(), 1.0);
+  auto contents = read_file(path());
+  ASSERT_TRUE(contents.is_ok());
+  EXPECT_NE(contents.value().find("\n31 1 3100 0\n"), std::string::npos)
+      << "the torn fragment was not there to skip";
 }
 
 // The actual fork-handler usage: parent and child publish concurrently

@@ -1,9 +1,16 @@
 #include "support/metrics.hpp"
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "support/child_wait.hpp"
 
 namespace dionea::metrics {
 namespace {
@@ -122,6 +129,39 @@ TEST(MetricsTest, ShardsAreReusedAfterThreadExit) {
     std::thread([] { add(Counter::kForks, 0); }).join();
   }
   EXPECT_LE(reg.shard_count(), warm + 1);
+}
+
+// `stats` merges shards under the registry mutex, as do threads
+// acquiring and releasing their shards. A fork that lands inside one
+// must still hand the child a usable registry: handler C's reset()
+// takes that mutex first thing.
+TEST(MetricsTest, ForkDuringSnapshotLeavesRegistryUsable) {
+  Registry& reg = Registry::instance();
+  reg.set_enabled(true);
+  std::atomic<bool> stop{false};
+  std::thread churn([&stop, &reg] {
+    while (!stop.load()) (void)reg.snapshot();
+  });
+  for (int i = 0; i < 200; ++i) {
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      Registry::instance().reset();
+      ::_exit(0);
+    }
+    auto waited = wait_child_exit(pid, 5000);
+    ASSERT_TRUE(waited.is_ok()) << waited.error().to_string();
+    if (!waited.value().has_value()) {
+      (void)::kill(pid, SIGKILL);
+      (void)::waitpid(pid, nullptr, 0);
+      stop.store(true);
+      churn.join();
+      FAIL() << "fork " << i << ": the child deadlocked on the registry";
+    }
+    EXPECT_EQ(exit_code_of(*waited.value()), 0);
+  }
+  stop.store(true);
+  churn.join();
 }
 
 TEST(MetricsTest, GaugesSetAndAdd) {

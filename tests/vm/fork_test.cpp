@@ -1,7 +1,14 @@
 // fork(2) semantics in the VM: only the calling thread survives
 // (Listing 1/2), sync objects are re-initialized, fork handlers run in
 // pthread_atfork order, and fork-with-block matches Listing 3.
+#include <signal.h>
 #include <sys/wait.h>
+
+#include <atomic>
+#include <cerrno>
+#include <cstring>
+#include <mutex>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +169,106 @@ TEST(ForkTest, ChildRuntimeErrorExitsNonzero) {
       "end)\n"
       "puts(waitpid(pid))";
   expect_ml_output(program, "1\n");
+}
+
+// ---- waitpid: the child-exit wait ----
+
+// A program blocked in waitpid on a child that runs until the test
+// kills it: it prints the child's pid, then waits. The run happens on
+// a background thread so the test can act on the child, or on the VM,
+// while the wait is in progress.
+class BlockedWaitpid {
+ public:
+  BlockedWaitpid() {
+    interp_.vm().set_output([this](std::string_view text) {
+      std::scoped_lock lock(mutex_);
+      output_.append(text);
+    });
+    runner_ = std::thread([this] {
+      result_ = interp_.run_string(
+          "pid = fork(fn()\n"
+          "  sleep(60)\n"
+          "end)\n"
+          "puts(pid)\n"
+          "puts(waitpid(pid))",
+          "waitpid.ml");
+      finished_.store(true);
+    });
+  }
+  ~BlockedWaitpid() {
+    if (child_ > 0) {
+      (void)::kill(child_, SIGKILL);
+      (void)::waitpid(child_, nullptr, 0);
+    }
+    interp_.vm().request_exit(0);
+    runner_.join();
+  }
+
+  // The child's pid once the program has printed it, else -1.
+  pid_t child() {
+    EXPECT_TRUE(test::poll_until([this] {
+      std::scoped_lock lock(mutex_);
+      return output_.find('\n') != std::string::npos;
+    }));
+    std::scoped_lock lock(mutex_);
+    child_ = static_cast<pid_t>(std::atoi(output_.c_str()));
+    return child_ > 0 ? child_ : -1;
+  }
+  // The child is gone; the destructor must not kill a recycled pid.
+  void forget_child() { child_ = -1; }
+  bool finished() const { return finished_.load(); }
+  const RunResult& result() const { return result_; }
+  std::string output() {
+    std::scoped_lock lock(mutex_);
+    return output_;
+  }
+  Vm& vm() { return interp_.vm(); }
+
+ private:
+  Interp interp_;
+  std::mutex mutex_;
+  std::string output_;
+  pid_t child_ = -1;
+  RunResult result_;
+  std::atomic<bool> finished_{false};
+  std::thread runner_;
+};
+
+TEST(WaitpidTest, InterruptCancelsWaitOnLiveChild) {
+  BlockedWaitpid run;
+  pid_t child = run.child();
+  ASSERT_GT(child, 0);
+  sleep_for_millis(50);  // let the main thread settle into the wait
+  ASSERT_FALSE(run.finished());
+  Stopwatch watch;
+  run.vm().request_exit(3);
+  EXPECT_TRUE(test::poll_until([&] { return run.finished(); }, 1000))
+      << "waitpid ignored the interrupt";
+  EXPECT_LT(watch.elapsed_seconds(), 1.0);
+  EXPECT_TRUE(run.result().exited);
+  EXPECT_EQ(run.result().exit_code, 3);
+  // The wait was cancelled, not satisfied: no verdict was printed and
+  // the child is still running.
+  EXPECT_EQ(run.output(), std::to_string(child) + "\n");
+  EXPECT_EQ(::kill(child, 0), 0);
+}
+
+TEST(WaitpidTest, SignalledChildReportsMinusSigno) {
+  BlockedWaitpid run;
+  pid_t child = run.child();
+  ASSERT_GT(child, 0);
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  ASSERT_TRUE(test::poll_until([&] { return run.finished(); }));
+  run.forget_child();  // reaped by the program's waitpid
+  EXPECT_TRUE(run.result().ok) << run.result().error.to_string();
+  EXPECT_EQ(run.output(),
+            std::to_string(child) + "\n" + std::to_string(-SIGKILL) + "\n");
+}
+
+TEST(WaitpidTest, NonChildPidRaisesRuntimeError) {
+  // pid 1 exists but is never this process's child: ECHILD.
+  test::expect_ml_error("waitpid(1)",
+                        std::string("waitpid(1): ") + std::strerror(ECHILD));
 }
 
 // ---- C++-level fork hooks ----

@@ -1,21 +1,49 @@
 #!/usr/bin/env bash
-# Static-analysis driver: clang-tidy over src/ with the curated check
-# set in .clang-tidy (warnings-as-errors), plus a clang-format dry run.
+# Static analysis: a sleep gate over src/, clang-tidy over src/
+# with the curated check set in .clang-tidy (warnings-as-errors), plus a
+# clang-format dry run.
 #
 # Usage:
 #   cmake -S . -B build -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 #   cmake --build build -j          # generated headers must exist
 #   tools/lint.sh [build-dir]
 #
-# Exits 0 with a skip notice when clang-tidy is not installed, so the
-# script is safe to call from environments that only carry gcc; CI
-# installs clang-tidy and gets the full run.
+# The sleep gate is a grep and always runs. The clang passes are
+# skipped with a notice when their tool is not installed, so the script
+# is safe to call from environments that only carry gcc; CI installs
+# clang-tidy and gets the full run.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-${ROOT}/build}"
 
 status=0
+
+# Sleep gate: waits in src/ block on a real wakeup (pidfd, inotify,
+# poll, a condition variable), not on a sleep cadence. Every sleep call
+# left carries an inline `// sleep-ok: <reason>` marker on the line
+# that names it, and the marked list may only shrink: lower
+# max_marked when a marked site goes away. The declaration and
+# definition of sleep_for_millis itself are not calls.
+max_marked=18
+unmarked="$(grep -rnE \
+    '\b(sleep_for_millis|std::this_thread::sleep_for|usleep|nanosleep)[[:space:]]*\(' \
+    "${ROOT}/src" --include='*.cpp' --include='*.hpp' --include='*.inc' \
+  | grep -vE '// sleep-ok: [^ ]' \
+  | grep -vE ':[[:space:]]*void sleep_for_millis\(' || true)"
+if [[ -n "${unmarked}" ]]; then
+  echo "lint.sh: sleep without a \`// sleep-ok: <reason>\` marker:" >&2
+  echo "${unmarked}" >&2
+  status=1
+fi
+marked="$(grep -rn '// sleep-ok: ' "${ROOT}/src" | wc -l || true)"
+if ((marked > max_marked)); then
+  echo "lint.sh: ${marked} marked sleep sites in src/, more than" \
+       "${max_marked}: wait on a wakeup instead" >&2
+  status=1
+elif [[ -z "${unmarked}" ]]; then
+  echo "lint.sh: sleep gate ok (${marked} marked sleep sites in src/)"
+fi
 
 if ! command -v clang-tidy > /dev/null; then
   echo "lint.sh: clang-tidy not found on PATH; skipping tidy pass"
